@@ -8,12 +8,6 @@
 
 namespace bladerunner {
 
-namespace {
-// Suffix distinguishing a privacy-only top-up flight from the payload
-// flight of the same cache key (both may be in the air at once).
-constexpr char kPrivacyFlightSuffix[] = "#priv";
-}  // namespace
-
 FetchPipeline::FetchPipeline(Simulator* sim, RegionId region, RpcChannel* was_channel,
                              SimTime rpc_timeout, FetchPipelineConfig config,
                              MetricsRegistry* metrics, TraceCollector* trace,
@@ -40,12 +34,18 @@ FetchPipeline::FetchPipeline(Simulator* sim, RegionId region, RpcChannel* was_ch
   m_.evictions = &metrics_->GetCounter("brass.fetch.evictions");
 }
 
-std::string FetchPipeline::Key(const std::string& app, const Value& metadata) const {
-  // The full metadata is part of the key: two events for the same object
-  // can carry per-viewer or per-stream fields (e.g. Messenger's mailbox
-  // "seq"), and those must never share a cached payload.
-  uint64_t fp = std::hash<std::string>{}(metadata.ToJson());
-  return app + "#" + std::to_string(VersionOf(metadata)) + "#" + std::to_string(fp);
+bool FetchPipeline::Key::operator==(const Key& other) const {
+  return hash == other.hash && privacy_only == other.privacy_only && version == other.version &&
+         app == other.app && (metadata == other.metadata || *metadata == *other.metadata);
+}
+
+FetchPipeline::Key FetchPipeline::MakeKey(const std::string& app, const Value& metadata) {
+  Key key;
+  key.app = app;
+  key.version = VersionOf(metadata);
+  key.metadata = std::make_shared<const Value>(metadata);
+  key.hash = std::hash<std::string>{}(app) * 31 + metadata.Hash();
+  return key;
 }
 
 ObjectId FetchPipeline::ObjectIdOf(const Value& metadata) {
@@ -63,66 +63,86 @@ uint64_t FetchPipeline::VersionOf(const Value& metadata) {
 
 void FetchPipeline::Fetch(const std::string& app, const Value& metadata,
                           const FetchOptions& options, Callback callback) {
-  m_.requests->Increment();
+  // The application takes its payload by value: this is its one copy.
+  Waiter waiter{options.viewer, options.parent,
+                std::make_shared<const ViewerCallback>(
+                    [callback = std::move(callback)](UserId, bool allowed, const Value& payload) {
+                      callback(allowed, payload);
+                    })};
   if (!config_.enabled || options.bypass_cache) {
-    DirectFetch(app, metadata, options, std::move(callback));
+    DirectFetch(app, metadata, std::move(waiter));
     return;
   }
+  Request(MakeKey(app, metadata), std::move(waiter));
+}
 
-  std::string key = Key(app, metadata);
+void FetchPipeline::FetchForViewers(const std::string& app, const Value& metadata,
+                                    const std::vector<UserId>& viewers,
+                                    const TraceContext& parent, ViewerCallback callback) {
+  auto shared = std::make_shared<const ViewerCallback>(std::move(callback));
+  const Key key = MakeKey(app, metadata);
+  for (UserId viewer : viewers) {
+    Waiter waiter{viewer, parent, shared};
+    if (!config_.enabled) {
+      DirectFetch(app, metadata, std::move(waiter));
+    } else {
+      Request(key, std::move(waiter));
+    }
+  }
+}
+
+void FetchPipeline::Request(const Key& key, Waiter waiter) {
+  m_.requests->Increment();
   auto cached = cache_.find(key);
   if (cached != cache_.end()) {
     CacheEntry& entry = cached->second;
-    auto decision = entry.decisions.find(options.viewer);
+    auto decision = entry.decisions.find(waiter.viewer);
     if (decision != entry.decisions.end()) {
-      TouchLru(entry, key);
-      ServeFromCache(entry, key, options.viewer, options.parent, std::move(callback));
+      lru_.splice(lru_.begin(), lru_, entry.lru_it);  // most recently used
+      ServeFromCache(entry.payload, decision->second, std::move(waiter));
       return;
     }
     // Payload cached but this viewer's decision is not (their stream
     // arrived after the batched fetch): privacy-only top-up RPC.
-    StartOrJoinFlight(key + kPrivacyFlightSuffix, app, metadata, /*need_payload=*/false,
-                      entry.payload, Waiter{options.viewer, options.parent, std::move(callback)});
+    Key topup = key;
+    topup.privacy_only = true;
+    StartOrJoinFlight(topup, entry.payload, std::move(waiter));
     return;
   }
-
-  StartOrJoinFlight(key, app, metadata, /*need_payload=*/true, Value(),
-                    Waiter{options.viewer, options.parent, std::move(callback)});
+  StartOrJoinFlight(key, nullptr, std::move(waiter));
 }
 
-void FetchPipeline::ServeFromCache(const CacheEntry& entry, const std::string& key, UserId viewer,
-                                   const TraceContext& parent, Callback callback) {
-  (void)key;
+void FetchPipeline::ServeFromCache(const std::shared_ptr<const Value>& payload, bool allowed,
+                                   Waiter waiter) {
   m_.cache_hits->Increment();
-  bool allowed = entry.decisions.at(viewer);
-  // A denied viewer never receives the payload, exactly as an unbatched
-  // WAS fetch would have answered.
-  Value payload = allowed ? entry.payload : Value();
-  if (trace_ != nullptr && parent.valid()) {
+  if (trace_ != nullptr && waiter.parent.valid()) {
     // Instant span: the fetch was served host-locally. Named distinctly
     // from "brass.fetch" so latency analyses over WAS round trips (e.g.
     // Table 3) keep measuring actual round trips.
-    TraceContext span =
-        trace_->RecordSpan(parent, "brass.fetch.cache", "brass", region_, ctx_.Now(), ctx_.Now());
+    TraceContext span = trace_->RecordSpan(waiter.parent, "brass.fetch.cache", "brass", region_,
+                                           ctx_.Now(), ctx_.Now());
     trace_->Annotate(span, "allowed", Value(allowed));
   }
   // Deliver asynchronously: applications expect fetch callbacks to run
-  // after the calling event handler returns, cache hit or not.
-  auto cb = std::make_shared<Callback>(std::move(callback));
-  ctx_.Schedule(0, [cb, allowed, payload = std::move(payload)]() { (*cb)(allowed, payload); });
+  // after the calling event handler returns, cache hit or not. A denied
+  // viewer never receives the payload, exactly as an unbatched WAS fetch
+  // would have answered.
+  ctx_.Schedule(0, [callback = std::move(waiter.callback), viewer = waiter.viewer, allowed,
+                    payload = allowed ? payload : nullptr]() {
+    (*callback)(viewer, allowed, allowed ? *payload : NullValue());
+  });
 }
 
-void FetchPipeline::StartOrJoinFlight(const std::string& flight_key, const std::string& app,
-                                      const Value& metadata, bool need_payload,
-                                      Value cached_payload, Waiter waiter) {
-  auto it = flights_.find(flight_key);
+void FetchPipeline::StartOrJoinFlight(const Key& key,
+                                      const std::shared_ptr<const Value>& cached_payload,
+                                      Waiter waiter) {
+  auto it = flights_.find(key);
   if (it != flights_.end()) {
     m_.coalesced->Increment();
     Flight& flight = it->second;
-    if (!flight.dispatched &&
+    if (!flight.dispatched && flight.rpc_viewers.size() < config_.max_batch_viewers &&
         std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==
-            flight.rpc_viewers.end() &&
-        flight.rpc_viewers.size() < config_.max_batch_viewers) {
+            flight.rpc_viewers.end()) {
       flight.rpc_viewers.push_back(waiter.viewer);
     }
     flight.waiters.push_back(std::move(waiter));
@@ -130,17 +150,13 @@ void FetchPipeline::StartOrJoinFlight(const std::string& flight_key, const std::
   }
 
   Flight flight;
-  flight.app = app;
-  flight.metadata = metadata;
-  flight.object_id = ObjectIdOf(metadata);
-  flight.version = VersionOf(metadata);
-  flight.need_payload = need_payload;
-  flight.cached_payload = std::move(cached_payload);
-  if (need_payload) {
+  flight.object_id = ObjectIdOf(*key.metadata);
+  flight.cached_payload = cached_payload;
+  if (!key.privacy_only) {
     // Prefetch decisions for every current viewer of the app on this host:
     // their streams will want this payload too, and one batched RPC is the
     // whole point (one round trip per host, not per stream).
-    flight.rpc_viewers = viewers_for_app_ ? viewers_for_app_(app) : std::vector<UserId>();
+    flight.rpc_viewers = viewers_for_app_ ? viewers_for_app_(key.app) : std::vector<UserId>();
     std::sort(flight.rpc_viewers.begin(), flight.rpc_viewers.end());
     flight.rpc_viewers.erase(std::unique(flight.rpc_viewers.begin(), flight.rpc_viewers.end()),
                              flight.rpc_viewers.end());
@@ -153,13 +169,12 @@ void FetchPipeline::StartOrJoinFlight(const std::string& flight_key, const std::
     flight.rpc_viewers.push_back(waiter.viewer);
   }
   flight.waiters.push_back(std::move(waiter));
-  flights_.emplace(flight_key, std::move(flight));
-  ctx_.Schedule(MillisF(config_.coalesce_window_ms),
-                 [this, flight_key]() { DispatchFlight(flight_key); });
+  flights_.emplace(key, std::move(flight));
+  ctx_.Schedule(MillisF(config_.coalesce_window_ms), [this, key]() { DispatchFlight(key); });
 }
 
-void FetchPipeline::DispatchFlight(const std::string& flight_key) {
-  auto it = flights_.find(flight_key);
+void FetchPipeline::DispatchFlight(const Key& key) {
+  auto it = flights_.find(key);
   if (it == flights_.end() || it->second.dispatched) {
     return;
   }
@@ -167,10 +182,10 @@ void FetchPipeline::DispatchFlight(const std::string& flight_key) {
   flight.dispatched = true;
 
   auto request = std::make_shared<WasFetchRequest>();
-  request->app = flight.app;
-  request->metadata = flight.metadata;
+  request->app = key.app;
+  request->metadata = *key.metadata;
   request->viewers = flight.rpc_viewers;
-  request->need_payload = flight.need_payload;
+  request->need_payload = !key.privacy_only;
 
   // "brass.fetch" covers the whole WAS round trip (Table 3's "of which WAS
   // point query + privacy check"); the WAS nests its processing span in it.
@@ -182,7 +197,7 @@ void FetchPipeline::DispatchFlight(const std::string& flight_key) {
         span = trace_->StartSpan(waiter.parent, "brass.fetch", "brass", region_, ctx_.Now());
         trace_->Annotate(span, "viewers", Value(static_cast<int64_t>(flight.rpc_viewers.size())));
         trace_->Annotate(span, "coalesced", Value(static_cast<int64_t>(flight.waiters.size())));
-        trace_->Annotate(span, "privacy_only", Value(!flight.need_payload));
+        trace_->Annotate(span, "privacy_only", Value(key.privacy_only));
         break;
       }
     }
@@ -190,18 +205,18 @@ void FetchPipeline::DispatchFlight(const std::string& flight_key) {
   request->trace = span;
 
   m_.was_fetches->Increment();
-  (flight.need_payload ? m_.rpcs : m_.privacy_rpcs)->Increment();
+  (key.privacy_only ? m_.privacy_rpcs : m_.rpcs)->Increment();
   was_channel_->Call(
       "was.fetch", request,
-      [this, flight_key, span](RpcStatus status, MessagePtr response) {
-        CompleteFlight(flight_key, span, status, std::move(response));
+      [this, key, span](RpcStatus status, MessagePtr response) {
+        CompleteFlight(key, span, status, std::move(response));
       },
       rpc_timeout_);
 }
 
-void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext span,
-                                   RpcStatus status, MessagePtr response) {
-  auto it = flights_.find(flight_key);
+void FetchPipeline::CompleteFlight(const Key& key, TraceContext span, RpcStatus status,
+                                   MessagePtr response) {
+  auto it = flights_.find(key);
   if (it == flights_.end()) {
     return;  // pipeline was cleared (host drained/crashed) mid-flight
   }
@@ -214,7 +229,7 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
     }
     m_.rpc_failures->Increment();
     for (Waiter& waiter : flight.waiters) {
-      waiter.callback(false, Value(nullptr));
+      (*waiter.callback)(waiter.viewer, false, NullValue());
     }
     return;
   }
@@ -227,10 +242,15 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
   for (size_t i = 0; i < flight.rpc_viewers.size() && i < fetch->allowed.size(); ++i) {
     decisions.emplace(flight.rpc_viewers[i], fetch->allowed[i] != 0);
   }
-  const Value& payload = flight.need_payload ? fetch->payload : flight.cached_payload;
+  // A payload flight shares the response's payload (no copy) with the cache.
+  const std::shared_ptr<const Value> payload =
+      key.privacy_only ? flight.cached_payload
+                       : std::shared_ptr<const Value>(fetch, &fetch->payload);
+  Key cache_key = key;
+  cache_key.privacy_only = false;
 
-  if (flight.need_payload) {
-    bool stale = fetch->version < flight.version;
+  if (!key.privacy_only) {
+    bool stale = fetch->version < key.version;
     if (stale) {
       // The (follower-region) WAS served an older version than the event
       // announced — replication lag. The result is still delivered (it is
@@ -240,17 +260,17 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
     }
     // Versionless metadata (e.g. ephemeral typing events) gets coalescing
     // only, never caching: there is no way to invalidate it.
-    if (!stale && !flight.superseded && flight.version > 0) {
+    if (!stale && !flight.superseded && key.version > 0) {
       CacheEntry entry;
       entry.object_id = flight.object_id;
-      entry.version = std::max(fetch->version, flight.version);
-      entry.payload = fetch->payload;
+      entry.version = std::max(fetch->version, key.version);
+      entry.payload = payload;
       entry.decisions = decisions;
-      InsertCacheEntry(Key(flight.app, flight.metadata), std::move(entry));
+      InsertCacheEntry(cache_key, std::move(entry));
     }
   } else if (!flight.superseded) {
     // Merge the topped-up decisions into the cache entry if it survived.
-    auto cached = cache_.find(Key(flight.app, flight.metadata));
+    auto cached = cache_.find(cache_key);
     if (cached != cache_.end()) {
       for (const auto& [viewer, allowed] : decisions) {
         cached->second.decisions.emplace(viewer, allowed);
@@ -258,15 +278,12 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
     }
   }
 
-  if (!flight.need_payload && flight.superseded) {
+  if (key.privacy_only && flight.superseded) {
     // The cached payload these waiters were topping up decisions for was
     // invalidated mid-flight: serving it would deliver a stale version.
     // Re-fetch from scratch (cache now misses, so this issues a fresh RPC).
     for (Waiter& waiter : flight.waiters) {
-      FetchOptions options;
-      options.viewer = waiter.viewer;
-      options.parent = waiter.parent;
-      Fetch(flight.app, flight.metadata, options, std::move(waiter.callback));
+      Request(cache_key, std::move(waiter));
     }
     return;
   }
@@ -277,39 +294,37 @@ void FetchPipeline::CompleteFlight(const std::string& flight_key, TraceContext s
       // Joined after dispatch and was not in the RPC's viewer batch:
       // re-enter the pipeline (typically now a cache hit or a privacy-only
       // top-up).
-      FetchOptions options;
-      options.viewer = waiter.viewer;
-      options.parent = waiter.parent;
-      Fetch(flight.app, flight.metadata, options, std::move(waiter.callback));
+      Request(cache_key, std::move(waiter));
       continue;
     }
-    waiter.callback(decision->second, decision->second ? payload : Value());
+    (*waiter.callback)(waiter.viewer, decision->second,
+                       decision->second ? *payload : NullValue());
   }
 }
 
-void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata,
-                                const FetchOptions& options, Callback callback) {
+void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata, Waiter waiter) {
+  m_.requests->Increment();
   m_.bypass->Increment();
   m_.was_fetches->Increment();
   auto request = std::make_shared<WasFetchRequest>();
   request->app = app;
   request->metadata = metadata;
-  request->viewers.push_back(options.viewer);
+  request->viewers.push_back(waiter.viewer);
   TraceContext span;
-  if (trace_ != nullptr && options.parent.valid()) {
-    span = trace_->StartSpan(options.parent, "brass.fetch", "brass", region_, ctx_.Now());
+  if (trace_ != nullptr && waiter.parent.valid()) {
+    span = trace_->StartSpan(waiter.parent, "brass.fetch", "brass", region_, ctx_.Now());
     trace_->Annotate(span, "bypass", Value(true));
   }
   request->trace = span;
-  auto cb = std::make_shared<Callback>(std::move(callback));
   was_channel_->Call(
       "was.fetch", request,
-      [this, cb, span](RpcStatus status, MessagePtr response) {
+      [this, callback = std::move(waiter.callback), viewer = waiter.viewer, span](
+          RpcStatus status, MessagePtr response) {
         if (status != RpcStatus::kOk) {
           if (trace_ != nullptr) {
             trace_->MarkError(span, ToString(status), ctx_.Now());
           }
-          (*cb)(false, Value(nullptr));
+          (*callback)(viewer, false, NullValue());
           return;
         }
         if (trace_ != nullptr) {
@@ -317,7 +332,7 @@ void FetchPipeline::DirectFetch(const std::string& app, const Value& metadata,
         }
         auto fetch = std::static_pointer_cast<WasFetchResponse>(response);
         bool allowed = !fetch->allowed.empty() && fetch->allowed[0] != 0;
-        (*cb)(allowed, allowed ? fetch->payload : Value());
+        (*callback)(viewer, allowed, allowed ? fetch->payload : NullValue());
       },
       rpc_timeout_);
 }
@@ -331,20 +346,20 @@ void FetchPipeline::ObserveEvent(const Value& metadata) {
   auto keys = by_object_.find(id);
   if (keys != by_object_.end()) {
     // Collect first: erasing mutates the index we are iterating.
-    std::vector<std::string> to_erase;
-    for (const std::string& key : keys->second) {
+    std::vector<Key> to_erase;
+    for (const Key& key : keys->second) {
       auto entry = cache_.find(key);
       if (entry != cache_.end() && entry->second.version < version) {
         to_erase.push_back(key);
       }
     }
-    for (const std::string& key : to_erase) {
+    for (const Key& key : to_erase) {
       m_.invalidations->Increment();
       EraseCacheEntry(key);
     }
   }
   for (auto& [key, flight] : flights_) {
-    if (flight.object_id == id && flight.version < version) {
+    if (flight.object_id == id && key.version < version) {
       flight.superseded = true;
     }
   }
@@ -357,7 +372,7 @@ void FetchPipeline::Clear() {
   flights_.clear();
 }
 
-void FetchPipeline::InsertCacheEntry(const std::string& key, CacheEntry entry) {
+void FetchPipeline::InsertCacheEntry(const Key& key, CacheEntry entry) {
   if (config_.cache_capacity == 0) {
     return;
   }
@@ -372,18 +387,12 @@ void FetchPipeline::InsertCacheEntry(const std::string& key, CacheEntry entry) {
   cache_.emplace(key, std::move(entry));
 }
 
-void FetchPipeline::TouchLru(CacheEntry& entry, const std::string& key) {
-  lru_.erase(entry.lru_it);
-  lru_.push_front(key);
-  entry.lru_it = lru_.begin();
-}
-
-void FetchPipeline::EraseCacheEntry(const std::string& key) {
+void FetchPipeline::EraseCacheEntry(const Key& key) {
   auto it = cache_.find(key);
   if (it == cache_.end()) {
     return;
   }
-  // `key` may alias the LRU node's own string (eviction passes lru_.back()),
+  // `key` may alias the LRU node's own key (eviction passes lru_.back()),
   // so the lru_ node must be freed only after the last use of `key`.
   auto lru_it = it->second.lru_it;
   auto keys = by_object_.find(it->second.object_id);

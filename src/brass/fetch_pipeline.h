@@ -26,7 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <list>
-#include <map>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -60,6 +60,9 @@ class FetchPipeline {
   // callback(allowed, payload): allowed is the viewer's privacy decision;
   // payload is null when not allowed or on RPC failure.
   using Callback = std::function<void(bool, Value)>;
+  // callback(viewer, allowed, payload), once per viewer of FetchForViewers;
+  // the payload is shared, valid only for the duration of the call.
+  using ViewerCallback = std::function<void(UserId, bool, const Value&)>;
   // Current viewers of an application on this host, for privacy-check
   // batching. May return duplicates; the pipeline dedups.
   using ViewerProvider = std::function<std::vector<UserId>(const std::string&)>;
@@ -71,6 +74,13 @@ class FetchPipeline {
   // Entry point for BrassHost::FetchPayload.
   void Fetch(const std::string& app, const Value& metadata, const FetchOptions& options,
              Callback callback);
+
+  // Entry point for a POP fill (BrassHost::OnPopFetch): exactly the
+  // requests of one Fetch per viewer, in order, all parented under
+  // `parent`, but the key is built once and one callback serves them all.
+  void FetchForViewers(const std::string& app, const Value& metadata,
+                       const std::vector<UserId>& viewers, const TraceContext& parent,
+                       ViewerCallback callback);
 
   // Version-observation hook: called for every Pylon event the host
   // receives. A newer version of an object invalidates any cached payload
@@ -85,58 +95,74 @@ class FetchPipeline {
   size_t CacheSize() const { return cache_.size(); }
 
  private:
+  // Identity of a flight or a cache entry. The full metadata is part of it:
+  // two events for the same object can carry per-stream fields (e.g.
+  // Messenger's mailbox "seq"), and those must never share a payload. Built
+  // once per request batch; copies share the metadata, so a key is cheap to
+  // copy, hash and compare. Cache keys never set privacy_only.
+  struct Key {
+    std::string app;
+    uint64_t version = 0;
+    std::shared_ptr<const Value> metadata;
+    // A privacy-only top-up flight, distinct from the payload flight of
+    // the same event (both may be in the air at once).
+    bool privacy_only = false;
+    size_t hash = 0;  // of app and metadata
+
+    bool operator==(const Key& other) const;
+  };
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      return key.hash ^ static_cast<size_t>(key.privacy_only);
+    }
+  };
+
   struct CacheEntry {
     ObjectId object_id = 0;
     uint64_t version = 0;
-    Value payload;
+    std::shared_ptr<const Value> payload;
     // Per-viewer privacy decisions, exactly as the WAS returned them.
     std::unordered_map<UserId, bool> decisions;
-    std::list<std::string>::iterator lru_it;
+    std::list<Key>::iterator lru_it;
   };
 
   struct Waiter {
     UserId viewer = 0;
     TraceContext parent;
-    Callback callback;
+    std::shared_ptr<const ViewerCallback> callback;
   };
 
-  // One in-flight WAS fetch RPC (payload fetch or privacy-only top-up).
+  // One in-flight WAS fetch RPC (payload fetch or privacy-only top-up),
+  // stored under its key.
   struct Flight {
-    std::string app;
-    Value metadata;
     ObjectId object_id = 0;
-    uint64_t version = 0;
-    bool need_payload = true;
     bool dispatched = false;
     // A newer version of the object was observed while this flight was
     // outstanding: its result must not be cached, and privacy-only waiters
     // must re-fetch instead of reusing the now-stale cached payload.
     bool superseded = false;
-    // Payload a privacy-only flight tops up decisions for (copied from the
+    // Payload a privacy-only flight tops up decisions for (shared with the
     // cache entry at flight creation, in case the entry is evicted).
-    Value cached_payload;
+    std::shared_ptr<const Value> cached_payload;
     std::vector<Waiter> waiters;
     std::vector<UserId> rpc_viewers;
   };
 
-  std::string Key(const std::string& app, const Value& metadata) const;
+  static Key MakeKey(const std::string& app, const Value& metadata);
   static ObjectId ObjectIdOf(const Value& metadata);
   static uint64_t VersionOf(const Value& metadata);
 
-  void ServeFromCache(const CacheEntry& entry, const std::string& key, UserId viewer,
-                      const TraceContext& parent, Callback callback);
-  void StartOrJoinFlight(const std::string& flight_key, const std::string& app,
-                         const Value& metadata, bool need_payload, Value cached_payload,
+  // One request of `waiter.viewer` for the event of cache key `key`.
+  void Request(const Key& key, Waiter waiter);
+  void ServeFromCache(const std::shared_ptr<const Value>& payload, bool allowed, Waiter waiter);
+  void StartOrJoinFlight(const Key& key, const std::shared_ptr<const Value>& cached_payload,
                          Waiter waiter);
-  void DispatchFlight(const std::string& flight_key);
-  void CompleteFlight(const std::string& flight_key, TraceContext span, RpcStatus status,
-                      MessagePtr response);
-  void DirectFetch(const std::string& app, const Value& metadata, const FetchOptions& options,
-                   Callback callback);
+  void DispatchFlight(const Key& key);
+  void CompleteFlight(const Key& key, TraceContext span, RpcStatus status, MessagePtr response);
+  void DirectFetch(const std::string& app, const Value& metadata, Waiter waiter);
 
-  void InsertCacheEntry(const std::string& key, CacheEntry entry);
-  void TouchLru(CacheEntry& entry, const std::string& key);
-  void EraseCacheEntry(const std::string& key);
+  void InsertCacheEntry(const Key& key, CacheEntry entry);
+  void EraseCacheEntry(const Key& key);
 
   // Metric handles resolved once at construction (docs/PERF.md).
   struct Metrics {
@@ -163,11 +189,11 @@ class FetchPipeline {
   TraceCollector* trace_;
   ViewerProvider viewers_for_app_;
 
-  std::unordered_map<std::string, CacheEntry> cache_;
-  std::list<std::string> lru_;  // front == most recently used
+  std::unordered_map<Key, CacheEntry, KeyHash> cache_;
+  std::list<Key> lru_;  // front == most recently used
   // object id -> cache keys holding a payload of that object (invalidation).
-  std::unordered_map<ObjectId, std::unordered_set<std::string>> by_object_;
-  std::unordered_map<std::string, Flight> flights_;
+  std::unordered_map<ObjectId, std::unordered_set<Key, KeyHash>> by_object_;
+  std::unordered_map<Key, Flight, KeyHash> flights_;
 };
 
 }  // namespace bladerunner

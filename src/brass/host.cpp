@@ -774,31 +774,26 @@ void BrassHost::OnPopFetch(ServerStream& stream, const PopFetchFrame& fetch) {
   pending->fill = fill;
   pending->outstanding = fetch.viewers.size();
   StreamKey key = stream.key();
-  for (int64_t viewer : fetch.viewers) {
-    FetchOptions options;
-    options.viewer = viewer;
-    options.parent = fetch.trace;
-    fetch_pipeline_->Fetch(fetch.app, fetch.metadata, options,
-                           [this, pending, viewer, key](bool allowed, Value payload) {
-                             pending->fill->decisions.emplace_back(viewer, allowed);
-                             if (allowed) {
-                               pending->fill->ok = true;
-                               if (pending->fill->payload.is_null()) {
-                                 pending->fill->payload = std::move(payload);
-                               }
-                             }
-                             if (--pending->outstanding > 0) {
-                               return;
-                             }
-                             // All viewers decided; answer the POP if the
-                             // representative stream is still attached (if
-                             // not, the POP re-fetches on its next miss).
-                             ServerStream* s = burst_->FindStream(key);
-                             if (s != nullptr) {
-                               s->SendFrame(pending->fill);
-                             }
-                           });
-  }
+  fetch_pipeline_->FetchForViewers(
+      fetch.app, fetch.metadata, fetch.viewers, fetch.trace,
+      [this, pending, key](UserId viewer, bool allowed, const Value& payload) {
+        pending->fill->decisions.emplace_back(viewer, allowed);
+        if (allowed) {
+          pending->fill->ok = true;
+          if (pending->fill->payload.is_null()) {
+            pending->fill->payload = payload;
+          }
+        }
+        if (--pending->outstanding > 0) {
+          return;
+        }
+        // All viewers decided; answer the POP if the representative stream
+        // is still attached (if not, the POP re-fetches on its next miss).
+        ServerStream* s = burst_->FindStream(key);
+        if (s != nullptr) {
+          s->SendFrame(pending->fill);
+        }
+      });
 }
 
 DurableLogDirectory* BrassHost::durable_logs() {

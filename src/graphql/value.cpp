@@ -1,6 +1,7 @@
 #include "src/graphql/value.h"
 
 #include <cstdio>
+#include <functional>
 
 namespace bladerunner {
 
@@ -40,6 +41,10 @@ void AppendJsonString(const std::string& s, std::string& out) {
     }
   }
   out.push_back('"');
+}
+
+size_t HashCombine(size_t seed, size_t value) {
+  return seed ^ (value + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
 }
 
 }  // namespace
@@ -183,6 +188,32 @@ std::string Value::ToJson() const {
   };
   std::visit(Renderer{out}, data_);
   return out;
+}
+
+size_t Value::Hash() const {
+  struct Hasher {
+    size_t operator()(std::nullptr_t) const { return 0; }
+    size_t operator()(bool b) const { return b ? 1 : 2; }
+    size_t operator()(int64_t i) const { return std::hash<int64_t>{}(i); }
+    // std::hash<double> maps 0.0 and -0.0 (which compare equal) to 0.
+    size_t operator()(double d) const { return std::hash<double>{}(d); }
+    size_t operator()(const std::string& s) const { return std::hash<std::string>{}(s); }
+    size_t operator()(const ValueList& l) const {
+      size_t h = l.size();
+      for (const Value& v : l) {
+        h = HashCombine(h, v.Hash());
+      }
+      return h;
+    }
+    size_t operator()(const ValueMap& m) const {
+      size_t h = m.size();
+      for (const auto& [k, v] : m) {
+        h = HashCombine(HashCombine(h, std::hash<std::string>{}(k)), v.Hash());
+      }
+      return h;
+    }
+  };
+  return HashCombine(data_.index(), std::visit(Hasher{}, data_));
 }
 
 uint64_t Value::WireSize() const {

@@ -66,6 +66,10 @@ class Value {
   bool operator==(const Value& other) const { return data_ == other.data_; }
   bool operator!=(const Value& other) const { return !(*this == other); }
 
+  // Structural hash, consistent with operator== (equal values hash equal;
+  // a map hashes by content, not by the order its keys were set in).
+  size_t Hash() const;
+
   // Compact JSON rendering (keys sorted by map order; deterministic).
   std::string ToJson() const;
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -391,6 +392,209 @@ TEST_F(FetchPipelineTest, ClearDropsCacheAndFlights) {
   sim_.RunFor(Seconds(1));
   EXPECT_EQ(pipeline_->CacheSize(), 0u);
   EXPECT_FALSE(inflight->done);
+}
+
+// One POP fill (BrassHost::OnPopFetch): a whole local flash crowd asks for
+// one event in the same instant. Pins the round-trip shape and the request
+// count of the pipeline as it stands: one payload flight carries at most
+// max_batch_viewers decisions, and every waiter left out re-enters after
+// each privacy-only round.
+TEST_F(FetchPipelineTest, PopFillOfSevenHundredViewersKeepsItsRoundTripShape) {
+  batch_viewers_.clear();  // POP viewers hold no streams on the host
+  std::vector<UserId> crowd;
+  for (int i = 0; i < 700; ++i) {
+    crowd.push_back(CreateUser(*tao_, "crowd-" + std::to_string(i), "en"));
+  }
+  for (size_t i = 0; i < crowd.size(); i += 9) {
+    BlockUser(*tao_, author_, crowd[i]);
+  }
+  ObjectId id = AllocLeaderRegionId();
+  uint64_t version = PutComment(id, "flash");
+  sim_.RunFor(Seconds(2));
+
+  const Value meta = Meta(id, version);
+  std::vector<std::shared_ptr<FetchResult>> results;
+  for (UserId viewer : crowd) {
+    results.push_back(Fetch(viewer, meta));
+  }
+  sim_.RunFor(Seconds(5));
+
+  EXPECT_EQ(Counter("brass.fetch.rpcs"), 1);
+  EXPECT_EQ(Counter("brass.fetch.privacy_rpcs"), 10);
+  EXPECT_EQ(Counter("brass.fetch.requests"), 4180);
+  EXPECT_EQ(Counter("brass.fetch.cache_hits"), 0);
+
+  // Every decision is the WAS's own: ask it directly, one viewer at a time.
+  std::vector<std::shared_ptr<FetchResult>> direct;
+  for (UserId viewer : crowd) {
+    direct.push_back(Fetch(viewer, meta, /*bypass_cache=*/true));
+  }
+  sim_.RunFor(Seconds(5));
+  const Value* first_payload = nullptr;
+  for (size_t i = 0; i < crowd.size(); ++i) {
+    ASSERT_TRUE(results[i]->done) << i;
+    ASSERT_TRUE(direct[i]->done) << i;
+    EXPECT_EQ(results[i]->allowed, direct[i]->allowed) << i;
+    EXPECT_EQ(results[i]->allowed, i % 9 != 0) << i;
+    if (!results[i]->allowed) {
+      EXPECT_TRUE(results[i]->payload.is_null()) << i;
+      continue;
+    }
+    if (first_payload == nullptr) {
+      first_payload = &results[i]->payload;
+      EXPECT_EQ(first_payload->Get("text").AsString(), "flash");
+    }
+    EXPECT_EQ(results[i]->payload, *first_payload) << i;
+  }
+}
+
+// FetchForViewers (a POP fill's entry) makes exactly the requests, round
+// trips and decisions of one Fetch per viewer in the same order.
+TEST_F(FetchPipelineTest, FetchForViewersMatchesOneFetchPerViewer) {
+  batch_viewers_.clear();
+  std::vector<UserId> crowd;
+  for (int i = 0; i < 150; ++i) {
+    crowd.push_back(CreateUser(*tao_, "fill-" + std::to_string(i), "en"));
+  }
+  for (size_t i = 0; i < crowd.size(); i += 7) {
+    BlockUser(*tao_, author_, crowd[i]);
+  }
+  ObjectId looped = AllocLeaderRegionId();
+  ObjectId batched = AllocLeaderRegionId();
+  uint64_t looped_version = PutComment(looped, "same");
+  uint64_t batched_version = PutComment(batched, "same");
+  sim_.RunFor(Seconds(2));
+  const std::vector<std::string> counters = {"brass.fetch.requests", "brass.fetch.coalesced",
+                                             "brass.fetch.rpcs", "brass.fetch.privacy_rpcs",
+                                             "brass.fetch.cache_hits", "was.privacy_checks"};
+  auto snapshot = [&]() {
+    std::vector<int64_t> values;
+    for (const std::string& name : counters) {
+      values.push_back(Counter(name));
+    }
+    return values;
+  };
+
+  std::vector<std::shared_ptr<FetchResult>> one_by_one;
+  std::vector<int64_t> before = snapshot();
+  for (UserId viewer : crowd) {
+    one_by_one.push_back(Fetch(viewer, Meta(looped, looped_version)));
+  }
+  sim_.RunFor(Seconds(5));
+  std::vector<int64_t> looped_cost = snapshot();
+
+  std::vector<std::pair<UserId, FetchResult>> fill;
+  pipeline_->FetchForViewers("LVC", Meta(batched, batched_version), crowd, TraceContext{},
+                             [&fill](UserId viewer, bool allowed, const Value& payload) {
+                               fill.push_back({viewer, FetchResult{true, allowed, payload}});
+                             });
+  sim_.RunFor(Seconds(5));
+  std::vector<int64_t> after = snapshot();
+  for (size_t i = 0; i < counters.size(); ++i) {
+    EXPECT_EQ(after[i] - looped_cost[i], looped_cost[i] - before[i]) << counters[i];
+  }
+
+  ASSERT_EQ(fill.size(), crowd.size());
+  std::map<UserId, const FetchResult*> by_viewer;
+  for (const auto& [viewer, result] : fill) {
+    by_viewer[viewer] = &result;
+  }
+  for (size_t i = 0; i < crowd.size(); ++i) {
+    ASSERT_TRUE(one_by_one[i]->done);
+    ASSERT_EQ(by_viewer.count(crowd[i]), 1u);
+    EXPECT_EQ(by_viewer[crowd[i]]->allowed, one_by_one[i]->allowed);
+    // Two objects, so the payloads differ in "id" only.
+    EXPECT_EQ(by_viewer[crowd[i]]->payload.is_null(), one_by_one[i]->payload.is_null());
+    EXPECT_EQ(by_viewer[crowd[i]]->payload.Get("text"), one_by_one[i]->payload.Get("text"));
+  }
+}
+
+// Two events for one object and version that differ in a per-stream field
+// (Messenger's mailbox "seq") must never share a flight or a cache entry.
+TEST_F(FetchPipelineTest, MetadataDifferingInOneFieldNeverSharesAFlightOrEntry) {
+  ObjectId id = AllocLeaderRegionId();
+  uint64_t version = PutComment(id, "mailbox");
+  sim_.RunFor(Seconds(2));
+
+  Value seq1 = Meta(id, version);
+  seq1.Set("seq", 1);
+  Value seq2 = Meta(id, version);
+  seq2.Set("seq", 2);
+  auto a = Fetch(viewer_a_, seq1);
+  auto b = Fetch(viewer_b_, seq2);
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(a->done);
+  ASSERT_TRUE(b->done);
+  EXPECT_EQ(Counter("brass.fetch.rpcs"), 2);
+  EXPECT_EQ(Counter("brass.fetch.coalesced"), 0);
+  EXPECT_EQ(pipeline_->CacheSize(), 2u);
+
+  // Each entry answers its own metadata only.
+  auto again = Fetch(viewer_a_, seq2);
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(again->done);
+  EXPECT_EQ(Counter("brass.fetch.cache_hits"), 1);
+  EXPECT_EQ(Counter("brass.fetch.rpcs"), 2);
+}
+
+// The key is the metadata's value, not the order its fields were set in.
+TEST_F(FetchPipelineTest, MetadataBuiltInAnotherOrderSharesTheFlightAndEntry) {
+  ObjectId id = AllocLeaderRegionId();
+  uint64_t version = PutComment(id, "order");
+  sim_.RunFor(Seconds(2));
+
+  Value reordered;
+  reordered.Set("version", static_cast<int64_t>(version));
+  reordered.Set("author", author_);
+  reordered.Set("id", id);
+  auto a = Fetch(viewer_a_, Meta(id, version));
+  auto b = Fetch(viewer_b_, reordered);
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(a->done);
+  ASSERT_TRUE(b->done);
+  EXPECT_EQ(Counter("brass.fetch.rpcs"), 1);
+  EXPECT_EQ(Counter("brass.fetch.coalesced"), 1);
+  EXPECT_EQ(pipeline_->CacheSize(), 1u);
+
+  auto hit = Fetch(viewer_b_, reordered);
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(hit->done);
+  EXPECT_EQ(Counter("brass.fetch.cache_hits"), 1);
+  EXPECT_EQ(hit->payload.Get("text").AsString(), "order");
+}
+
+// A privacy-only top-up and a payload fetch of the same metadata are
+// distinct flights: both can be in the air at once, and neither joins the
+// other.
+TEST_F(FetchPipelineTest, PayloadFlightAndPrivacyTopUpOfOneKeyCoexist) {
+  batch_viewers_ = {viewer_a_};
+  ObjectId id = AllocLeaderRegionId();
+  uint64_t version = PutComment(id, "both");
+  sim_.RunFor(Seconds(2));
+
+  auto warm = Fetch(viewer_a_, Meta(id, version));
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(warm->done);
+  ASSERT_EQ(pipeline_->CacheSize(), 1u);
+
+  // C's decision is missing: a privacy-only top-up takes off. A newer
+  // version then drops the cached payload, so B's fetch of the same
+  // metadata in the same instant must start a payload flight of its own.
+  auto c = Fetch(viewer_c_, Meta(id, version));
+  pipeline_->ObserveEvent(Meta(id, version + 1));
+  auto b = Fetch(viewer_b_, Meta(id, version));
+  EXPECT_EQ(Counter("brass.fetch.coalesced"), 0);
+  sim_.RunFor(Millis(1));
+  EXPECT_EQ(Counter("brass.fetch.rpcs"), 2);
+  EXPECT_EQ(Counter("brass.fetch.privacy_rpcs"), 1);
+
+  sim_.RunFor(Seconds(1));
+  ASSERT_TRUE(b->done);
+  ASSERT_TRUE(c->done);
+  EXPECT_TRUE(b->allowed);
+  EXPECT_TRUE(c->allowed);
+  EXPECT_EQ(b->payload.Get("text").AsString(), "both");
+  EXPECT_EQ(c->payload.Get("text").AsString(), "both");
 }
 
 }  // namespace

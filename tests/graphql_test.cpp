@@ -65,6 +65,26 @@ TEST(ValueTest, Equality) {
   EXPECT_NE(a, b);
 }
 
+TEST(ValueTest, HashFollowsEquality) {
+  Value a;
+  a.Set("id", 7);
+  a.Set("tags", ValueList{Value("x"), Value(1.5)});
+  Value b;  // the same fields, set in another order
+  b.Set("tags", ValueList{Value("x"), Value(1.5)});
+  b.Set("id", 7);
+  ASSERT_EQ(a, b);
+  EXPECT_EQ(a.Hash(), b.Hash());
+  EXPECT_EQ(Value(0.0).Hash(), Value(-0.0).Hash());
+
+  Value c = a;
+  c.Set("seq", 2);
+  Value d = a;
+  d.Set("seq", 3);
+  EXPECT_NE(c.Hash(), d.Hash());
+  EXPECT_NE(a.Hash(), c.Hash());
+  EXPECT_NE(Value(1).Hash(), Value("1").Hash());
+}
+
 TEST(ValueTest, ToJson) {
   Value v;
   v.Set("n", 3);
