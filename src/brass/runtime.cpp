@@ -56,7 +56,7 @@ void BrassRuntime::DeliverEnvelope(BrassStream& stream, Value metadata,
   host_->DeliverEnvelope(app_name_, stream, std::move(metadata), options);
 }
 
-TraceContext BrassRuntime::StartSpan(const TraceContext& parent, const std::string& name) {
+TraceContext BrassRuntime::StartSpan(const TraceContext& parent, std::string_view name) {
   TraceCollector* trace = host_->trace();
   if (trace == nullptr) {
     return TraceContext();
@@ -72,7 +72,7 @@ void BrassRuntime::EndSpan(const TraceContext& ctx) {
   }
 }
 
-void BrassRuntime::AnnotateSpan(const TraceContext& ctx, const std::string& key, Value v) {
+void BrassRuntime::AnnotateSpan(const TraceContext& ctx, std::string_view key, Value v) {
   if (host_->trace() != nullptr) {
     host_->trace()->Annotate(ctx, key, std::move(v));
   }

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 
 #include "src/brass/application.h"
 #include "src/brass/delivery_queue.h"
@@ -85,9 +86,9 @@ class BrassRuntime {
   // Span helpers for application-level processing spans ("brass.process").
   // All no-op (returning invalid contexts) when tracing is off or the
   // parent was not sampled.
-  TraceContext StartSpan(const TraceContext& parent, const std::string& name);
+  TraceContext StartSpan(const TraceContext& parent, std::string_view name);
   void EndSpan(const TraceContext& ctx);
-  void AnnotateSpan(const TraceContext& ctx, const std::string& key, Value v);
+  void AnnotateSpan(const TraceContext& ctx, std::string_view key, Value v);
   void MarkSpanError(const TraceContext& ctx, const std::string& message);
 
  private:

@@ -4,7 +4,10 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <span>
 #include <sstream>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/trace/analysis.h"
@@ -13,7 +16,7 @@ namespace bladerunner {
 
 namespace {
 
-std::string JsonEscape(const std::string& s) {
+std::string JsonEscape(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
   for (char c : s) {
@@ -42,18 +45,31 @@ std::string HexId(uint64_t id) {
   return buf;
 }
 
-// Assigns each component a stable tid in first-use (span-id) order.
-std::map<std::string, int> ComponentTids(const TraceRecord& trace) {
-  std::map<std::string, int> tids;
-  int next = 1;
-  for (const Span& span : trace.spans) {
-    if (tids.emplace(span.component, next).second) ++next;
+// Assigns each component a stable tid in first-use (span-id) order. The
+// thread metadata lists components by text, so label ids never show.
+struct ComponentTids {
+  std::vector<std::pair<LabelId, int>> by_label;  // first-use order
+  std::map<std::string_view, int> by_text;
+
+  explicit ComponentTids(const TraceRecord& trace) {
+    for (const Span& span : trace.spans) {
+      if (Find(span.component) != 0) continue;
+      int tid = static_cast<int>(by_label.size()) + 1;
+      by_label.emplace_back(span.component, tid);
+      by_text.emplace(trace.Label(span.component), tid);
+    }
   }
-  return tids;
-}
+  // 0 when `component` has no tid yet.
+  int Find(LabelId component) const {
+    for (const auto& [label, tid] : by_label) {
+      if (label == component) return tid;
+    }
+    return 0;
+  }
+};
 
 void AppendMetadataEvent(std::ostringstream& out, bool* first, int pid, int tid,
-                         const std::string& kind, const std::string& name) {
+                         const std::string& kind, std::string_view name) {
   if (!*first) out << ",\n";
   *first = false;
   out << "  {\"ph\":\"M\",\"pid\":" << pid << ",\"tid\":" << tid
@@ -63,26 +79,28 @@ void AppendMetadataEvent(std::ostringstream& out, bool* first, int pid, int tid,
 
 void AppendTraceEvents(std::ostringstream& out, bool* first,
                        const TraceRecord& trace, int pid) {
-  std::map<std::string, int> tids = ComponentTids(trace);
+  ComponentTids tids(trace);
+  TraceIndex index(trace);
   AppendMetadataEvent(out, first, pid, 0, "process_name",
                       "trace " + HexId(trace.trace_id));
-  for (const auto& [component, tid] : tids) {
+  for (const auto& [component, tid] : tids.by_text) {
     AppendMetadataEvent(out, first, pid, tid, "thread_name", component);
   }
   for (const Span& span : trace.spans) {
-    SimTime end = EffectiveEnd(trace, span);
+    SimTime end = index.EffectiveEnd(span.span_id);
     if (!*first) out << ",\n";
     *first = false;
-    out << "  {\"ph\":\"X\",\"name\":\"" << JsonEscape(span.name)
-        << "\",\"cat\":\"" << JsonEscape(span.component) << "\",\"ts\":" << span.start
+    out << "  {\"ph\":\"X\",\"name\":\"" << JsonEscape(trace.Name(span))
+        << "\",\"cat\":\"" << JsonEscape(trace.Component(span)) << "\",\"ts\":" << span.start
         << ",\"dur\":" << std::max<SimTime>(0, end - span.start)
-        << ",\"pid\":" << pid << ",\"tid\":" << tids[span.component] << ",\"args\":{";
+        << ",\"pid\":" << pid << ",\"tid\":" << tids.Find(span.component) << ",\"args\":{";
     out << "\"span\":" << span.span_id << ",\"parent\":" << span.parent_span_id;
     if (span.region >= 0) out << ",\"region\":" << span.region;
     if (span.open()) out << ",\"open\":true";
     if (span.error) out << ",\"error\":true";
-    for (const auto& [key, value] : span.annotations) {
-      out << ",\"" << JsonEscape(key) << "\":" << value.ToJson();
+    for (uint32_t i : index.Annotations(span.span_id)) {
+      const SpanAnnotation& annotation = trace.annotations[i];
+      out << ",\"" << JsonEscape(trace.Label(annotation.key)) << "\":" << annotation.value.ToJson();
     }
     out << "}}";
   }
@@ -125,31 +143,34 @@ std::string RenderTrace(const TraceRecord& trace) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.1fms", ToMillis(TraceDuration(trace)));
   out << "trace " << HexId(trace.trace_id) << " "
-      << (root != nullptr ? root->name : "<empty>") << " " << buf << "\n";
+      << (root != nullptr ? trace.Name(*root) : "<empty>") << " " << buf << "\n";
   if (root == nullptr) return out.str();
 
   // Depth-first render; children in span-id order.
+  TraceIndex index(trace);
   std::vector<std::pair<const Span*, int>> stack;  // (span, depth)
   stack.emplace_back(root, 1);
   while (!stack.empty()) {
     auto [span, depth] = stack.back();
     stack.pop_back();
-    out << std::string(static_cast<size_t>(depth) * 2, ' ') << span->name << " ["
-        << span->component << "]";
+    out << std::string(static_cast<size_t>(depth) * 2, ' ') << trace.Name(*span) << " ["
+        << trace.Component(*span) << "]";
     std::snprintf(buf, sizeof(buf), " +%.1fms", ToMillis(span->start - root->start));
     out << buf;
-    SimTime end = EffectiveEnd(trace, *span);
+    SimTime end = index.EffectiveEnd(span->span_id);
     std::snprintf(buf, sizeof(buf), " %.1fms", ToMillis(end - span->start));
     out << buf;
     if (span->open()) out << " (open)";
     if (span->error) out << " ERROR";
-    for (const auto& [key, value] : span->annotations) {
-      out << " " << key << "=" << value.ToJson();
+    for (uint32_t i : index.Annotations(span->span_id)) {
+      const SpanAnnotation& annotation = trace.annotations[i];
+      out << " " << trace.Label(annotation.key) << "=" << annotation.value.ToJson();
     }
     out << "\n";
     // Push children in reverse so the lowest span id renders first.
-    for (auto it = trace.spans.rbegin(); it != trace.spans.rend(); ++it) {
-      if (it->parent_span_id == span->span_id) stack.emplace_back(&*it, depth + 1);
+    std::span<const uint32_t> children = index.Children(span->span_id);
+    for (auto it = children.rbegin(); it != children.rend(); ++it) {
+      stack.emplace_back(&trace.spans[*it - 1], depth + 1);
     }
   }
   return out.str();
