@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
 #include <utility>
 
 #include "src/was/messages.h"
@@ -160,12 +161,17 @@ void FetchPipeline::StartOrJoinFlight(const Key& key,
     std::sort(flight.rpc_viewers.begin(), flight.rpc_viewers.end());
     flight.rpc_viewers.erase(std::unique(flight.rpc_viewers.begin(), flight.rpc_viewers.end()),
                              flight.rpc_viewers.end());
-    if (flight.rpc_viewers.size() > config_.max_batch_viewers) {
-      flight.rpc_viewers.resize(config_.max_batch_viewers);
-    }
   }
-  if (std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer) ==
-      flight.rpc_viewers.end()) {
+  // The requester's decision is the one this flight exists for, so it rides
+  // inside the cap: host viewers beyond the cap (or beyond cap - 1 when the
+  // requester is not among the first cap of them) are left out.
+  const size_t cap = std::max<size_t>(config_.max_batch_viewers, 1);
+  auto self = std::find(flight.rpc_viewers.begin(), flight.rpc_viewers.end(), waiter.viewer);
+  if (self != flight.rpc_viewers.end() &&
+      self - flight.rpc_viewers.begin() < static_cast<std::ptrdiff_t>(cap)) {
+    flight.rpc_viewers.resize(std::min(flight.rpc_viewers.size(), cap));
+  } else {
+    flight.rpc_viewers.resize(std::min(flight.rpc_viewers.size(), cap - 1));
     flight.rpc_viewers.push_back(waiter.viewer);
   }
   flight.waiters.push_back(std::move(waiter));

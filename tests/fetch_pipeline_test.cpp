@@ -394,6 +394,42 @@ TEST_F(FetchPipelineTest, ClearDropsCacheAndFlights) {
   EXPECT_FALSE(inflight->done);
 }
 
+// A payload flight carries at most max_batch_viewers (64) decisions, the
+// requester's included, however many viewers the host holds and wherever
+// the requester sorts among them.
+TEST_F(FetchPipelineTest, PayloadFlightKeepsRequesterInsideBatchCap) {
+  std::vector<UserId> host_viewers;
+  for (int i = 0; i < 70; ++i) {
+    host_viewers.push_back(CreateUser(*tao_, "host-" + std::to_string(i), "en"));
+  }
+  ObjectId id = AllocLeaderRegionId();
+  uint64_t version = PutComment(id, "capped");
+  sim_.RunFor(Seconds(2));
+
+  // Requester not among the host's viewers, then among them past the cap.
+  struct Case {
+    std::vector<UserId> host;
+    UserId requester;
+  };
+  std::vector<Case> cases = {
+      {host_viewers, viewer_c_},
+      {host_viewers, host_viewers.back()},
+  };
+  for (size_t i = 0; i < cases.size(); ++i) {
+    batch_viewers_ = cases[i].host;
+    pipeline_->Clear();
+    const int64_t checks_before = Counter("was.privacy_checks");
+    auto result = Fetch(cases[i].requester, Meta(id, version));
+    sim_.RunFor(Seconds(1));
+    ASSERT_TRUE(result->done) << i;
+    EXPECT_TRUE(result->allowed) << i;
+    EXPECT_EQ(result->payload.Get("text").AsString(), "capped") << i;
+    EXPECT_EQ(Counter("was.privacy_checks") - checks_before, 64) << i;
+  }
+  EXPECT_EQ(Counter("brass.fetch.rpcs"), 2);
+  EXPECT_EQ(Counter("brass.fetch.privacy_rpcs"), 0);
+}
+
 // One POP fill (BrassHost::OnPopFetch): a whole local flash crowd asks for
 // one event in the same instant. Pins the round-trip shape and the request
 // count of the pipeline as it stands: one payload flight carries at most
@@ -445,6 +481,34 @@ TEST_F(FetchPipelineTest, PopFillOfSevenHundredViewersKeepsItsRoundTripShape) {
       EXPECT_EQ(first_payload->Get("text").AsString(), "flash");
     }
     EXPECT_EQ(results[i]->payload, *first_payload) << i;
+  }
+
+  // The game-day shape: the host also holds the crowd's streams, so the
+  // first payload flight prefetches host viewers too, and the fill asks in
+  // an order unrelated to user ids. That flight carries the requester and
+  // the 63 lowest ids: 64 decisions, then 10 privacy-only top-ups.
+  batch_viewers_ = crowd;
+  ObjectId held = AllocLeaderRegionId();
+  uint64_t held_version = PutComment(held, "held");
+  sim_.RunFor(Seconds(2));
+  const int64_t rpcs_before = Counter("brass.fetch.rpcs");
+  const int64_t topups_before = Counter("brass.fetch.privacy_rpcs");
+  const int64_t requests_before = Counter("brass.fetch.requests");
+  const int64_t hits_before = Counter("brass.fetch.cache_hits");
+  std::vector<std::shared_ptr<FetchResult>> held_results;
+  for (auto it = crowd.rbegin(); it != crowd.rend(); ++it) {
+    held_results.push_back(Fetch(*it, Meta(held, held_version)));
+  }
+  sim_.RunFor(Seconds(5));
+  EXPECT_EQ(Counter("brass.fetch.rpcs") - rpcs_before, 1);
+  EXPECT_EQ(Counter("brass.fetch.privacy_rpcs") - topups_before, 10);
+  // Same count as a fill the host holds no streams for; with the requester
+  // appended past the cap (65 decisions) it was 4170.
+  EXPECT_EQ(Counter("brass.fetch.requests") - requests_before, 4180);
+  EXPECT_EQ(Counter("brass.fetch.cache_hits") - hits_before, 0);
+  for (size_t i = 0; i < held_results.size(); ++i) {
+    ASSERT_TRUE(held_results[i]->done) << i;
+    EXPECT_EQ(held_results[i]->allowed, (crowd.size() - 1 - i) % 9 != 0) << i;
   }
 }
 
